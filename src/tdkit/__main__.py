@@ -1,3 +1,3 @@
-from .cli import main_entry
+from .cli import main
 
-main_entry()
+raise SystemExit(main())
